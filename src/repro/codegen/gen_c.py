@@ -1,36 +1,39 @@
 """C back end.
 
-The ObjectMath code generator also emitted C++ (Figure 8/9).  This back end
-produces a C translation unit with the same structure as the Fortran one:
-``RHS`` as a ``switch (workerid)`` in parallel mode or straight-line code in
-serial mode, plus the generated start-value function.
+The ObjectMath code generator also emitted C++ (Figure 8/9).  Both C
+printers here are pure formatting over one shared
+:class:`~repro.codegen.lower.Lowering` — the CSE blocks, Jacobian entries
+and symbol loads are computed once, in :mod:`repro.codegen.lower`:
 
-Two emitters live here:
-
-* :func:`generate_c` — the inspectable textual artifact (``repro codegen
-  -t c``), mirroring the Fortran back end, and
-* :func:`generate_c_tasks` — a self-contained *executable* translation
-  unit (:class:`NativeSource`): serial ``RHS``, one exported ``task_k``
-  entry point per (possibly fused) task body, the sparse SCC-block
-  analytic Jacobian, and the start/parameter vectors.  The native build
-  layer (:mod:`repro.codegen.native`) compiles it into a loadable shared
-  object for ``backend="c"``.
+* :func:`generate_c` prints the inspectable textual artifact (``repro
+  codegen -t c``) with the same structure as the Fortran 90 one: ``RHS``
+  as a ``switch (workerid)`` in parallel mode or straight-line code in
+  serial mode, plus the generated start-value function;
+* :func:`print_c_tasks` (and its standalone form :func:`generate_c_tasks`)
+  prints the self-contained *executable* translation unit
+  (:class:`NativeSource`) for ``backend="c"``: serial ``RHS``, one
+  exported ``task_k`` entry point per (possibly fused) task body, the
+  sparse analytic Jacobian with its entries reordered by SCC block, and
+  the start/parameter vectors.  The native build layer
+  (:mod:`repro.codegen.native`) compiles it into a loadable shared
+  object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from ..schedule.lpt import Schedule
-from ..symbolic.cse import cse, cse_grouped
-from ..symbolic.expr import Expr, free_symbols
 from ..symbolic.printer import code as expr_code
 from .gen_python import NameTable
+from .lower import Lowering, lower
 from .tasks import TaskPlan, partition_tasks
 from .transform import OdeSystem
 
-__all__ = ["CSource", "NativeSource", "generate_c", "generate_c_tasks"]
+__all__ = [
+    "CSource", "NativeSource", "generate_c", "generate_c_tasks", "print_c_tasks",
+]
 
 
 @dataclass(frozen=True)
@@ -92,66 +95,10 @@ class NativeSource:
         )
 
 
-def _emit_block(
-    targets: Sequence[tuple[str, Expr]],
-    replacements: Sequence[tuple],
-    system: OdeSystem,
-    partial_index: Mapping[str, int],
-    names: NameTable,
-    indent: str,
-    emitted: set[str] | None = None,
-) -> list[str]:
-    n = len(system.state_names)
-    state_index = {s: i for i, s in enumerate(system.state_names)}
-    param_index = {s: i for i, s in enumerate(system.param_names)}
-    local = {sym.name for sym, _ in replacements}
+#: where each load kind lives in a generated C function
+_SLOTS = {"t": "t", "state": "yin[{0}]", "param": "p[{0}]", "partial": "yout[{0}]"}
 
-    used: set[str] = set()
-    for _, e in targets:
-        used.update(s.name for s in free_symbols(e))
-    for _, d in replacements:
-        used.update(s.name for s in free_symbols(d))
-    used -= local
-    if emitted is not None:
-        used -= emitted
-        emitted |= used
-
-    lines: list[str] = []
-    for name in sorted(used):
-        ident = names(name)
-        if name == system.free_var:
-            lines.append(f"{indent}const double {ident} = t;")
-        elif name in state_index:
-            lines.append(
-                f"{indent}const double {ident} = yin[{state_index[name]}];"
-            )
-        elif name in param_index:
-            lines.append(
-                f"{indent}const double {ident} = p[{param_index[name]}];"
-            )
-        elif name in partial_index:
-            lines.append(
-                f"{indent}const double {ident} = "
-                f"yout[{n + partial_index[name]}];"
-            )
-        else:
-            raise ValueError(f"cannot bind symbol {name!r} in C codegen")
-
-    for sym, definition in replacements:
-        ident = names(sym.name)
-        lines.append(
-            f"{indent}const double {ident} = "
-            f"{expr_code(definition, 'c', names)};"
-        )
-
-    for target, expr in targets:
-        text = expr_code(expr, "c", names)
-        if not target.startswith("der:"):
-            lines.append(f"{indent}yout[{n + partial_index[target]}] = {text};")
-        else:
-            state = target.split(":", 1)[1]
-            lines.append(f"{indent}yout[{state_index[state]}] = {text};")
-    return lines
+_ASSIGN = "  const double {} = {};"
 
 
 def generate_c(
@@ -170,9 +117,7 @@ def generate_c(
         raise ValueError(f"unknown mode {mode!r}")
     if plan is None:
         plan = partition_tasks(system)
-
-    n = system.num_states
-    partial_index = {slot: i for i, slot in enumerate(plan.partial_slots)}
+    low = lower(system, plan, jacobian, cse_min_ops)
 
     lines: list[str] = [
         f"/* Generated by repro.codegen.gen_c for model {system.name} */",
@@ -181,31 +126,21 @@ def generate_c(
         _SIGN_HELPER,
         "",
     ]
-    num_cse = 0
 
     if mode == "serial":
-        names = NameTable(reserved=["t", "yin", "p", "yout"])
-        result = cse(list(system.rhs), symbol_prefix="cse", min_ops=cse_min_ops)
-        num_cse = result.num_extracted
+        num_cse = low.num_cse_serial
         lines.append(
             "void RHS(double t, const double *yin, const double *p, "
             "double *yout)"
         )
         lines.append("{")
-        targets = [
-            (f"der:{s}", e) for s, e in zip(system.state_names, result.exprs)
-        ]
-        lines.extend(
-            _emit_block(
-                targets, result.replacements, system, partial_index, names,
-                "  ",
-            )
+        lines += low.serial.lines(
+            NameTable(reserved=["t", "yin", "p", "yout"]), "c", _SLOTS,
+            _ASSIGN, "  yout[{}] = {};",
         )
         lines.append("}")
     else:
-        groups = [[a.expr for a in b.assignments] for b in plan.bodies]
-        results = cse_grouped(groups, symbol_prefix="cse", min_ops=cse_min_ops)
-        num_cse = sum(r.num_extracted for r in results)
+        num_cse = low.num_cse_parallel
         if schedule is not None:
             case_tasks = [
                 list(schedule.tasks_of(w)) for w in range(schedule.num_workers)
@@ -226,82 +161,40 @@ def generate_c(
             names = NameTable(reserved=["t", "yin", "p", "yout", "workerid"])
             emitted: set[str] = set()
             for tid in task_ids:
-                body = plan.bodies[tid]
-                result = results[tid]
-                targets = [
-                    (a.target, e)
-                    for a, e in zip(body.assignments, result.exprs)
-                ]
-                lines.extend(
-                    _emit_block(
-                        targets, result.replacements, system, partial_index,
-                        names, "    ", emitted,
-                    )
+                block = low.tasks[tid]
+                loads = tuple(
+                    ld for ld in block.loads if ld.name not in emitted
+                )
+                emitted.update(ld.name for ld in loads)
+                lines += block._replace(loads=loads).lines(
+                    names, "c", _SLOTS, "  " + _ASSIGN, "    yout[{}] = {};"
                 )
             lines.append("    break;")
             lines.append("  }")
         lines.append("  }")
         lines.append("}")
 
-    if jacobian:
-        from .gen_fortran import _jacobian_entries
-
+    if low.jac is not None:
         names = NameTable(reserved=["t", "yin", "p", "dfdy", "n"])
-        entries = _jacobian_entries(system)
-        jac_cse = cse(
-            [e for _, _, e in entries], symbol_prefix="jcse",
-            min_ops=cse_min_ops,
-        )
+        n = system.num_states
         lines.append("")
         lines.append(
             "void JAC(double t, const double *yin, const double *p, "
             "double *dfdy)"
         )
         lines.append("{")
-        nn = system.num_states
-        lines.append(
-            f"  for (int k = 0; k < {nn * nn}; ++k) dfdy[k] = 0.0;"
-        )
-        local = {sym.name for sym, _ in jac_cse.replacements}
-        used: set[str] = set()
-        for _sym, definition in jac_cse.replacements:
-            used.update(s.name for s in free_symbols(definition))
-        for expr in jac_cse.exprs:
-            used.update(s.name for s in free_symbols(expr))
-        used -= local
-        state_index = {s: i for i, s in enumerate(system.state_names)}
-        param_index = {s: i for i, s in enumerate(system.param_names)}
-        for name in sorted(used):
-            ident = names(name)
-            if name == system.free_var:
-                lines.append(f"  const double {ident} = t;")
-            elif name in state_index:
-                lines.append(
-                    f"  const double {ident} = yin[{state_index[name]}];"
-                )
-            elif name in param_index:
-                lines.append(
-                    f"  const double {ident} = p[{param_index[name]}];"
-                )
-            else:  # pragma: no cover
-                raise ValueError(f"cannot bind {name!r} in JAC codegen")
-        for sym, definition in jac_cse.replacements:
-            lines.append(
-                f"  const double {names(sym.name)} = "
-                f"{expr_code(definition, 'c', names)};"
-            )
-        for (i, j, _), expr in zip(entries, jac_cse.exprs):
-            lines.append(
-                f"  dfdy[{i * nn + j}] = {expr_code(expr, 'c', names)};"
-            )
+        lines.append(f"  for (int k = 0; k < {n * n}; ++k) dfdy[k] = 0.0;")
+        lines += low.jac.lines(names, "c", _SLOTS, _ASSIGN)
+        lines += [
+            f"  dfdy[{i * n + j}] = {expr_code(e, 'c', names)};"
+            for (i, j), e in low.jac.stores
+        ]
         lines.append("}")
 
     lines.append("")
     lines.append("void START(double *y0)")
     lines.append("{")
-    for i, (name, value) in enumerate(
-        zip(system.state_names, system.start_values)
-    ):
+    for i, (name, value) in enumerate(zip(system.state_names, low.start_values)):
         lines.append(f"  y0[{i}] = {value!r};  /* {name} */")
     lines.append("}")
 
@@ -316,30 +209,6 @@ def generate_c(
 # ---------------------------------------------------------------------------
 
 _ARGS = "double t, const double *yin, const double *p, double *yout"
-
-
-def _sparse_jacobian_entries(
-    system: OdeSystem, blocks: Mapping[str, int] | None
-) -> list[tuple[int, int, Expr]]:
-    """Structurally nonzero Jacobian entries ordered per SCC block.
-
-    ``blocks`` is the analysis partition's state-name → SCC-block
-    membership; entries are grouped by the row state's block (row-major
-    within a block) so the generated ``JAC`` walks one diagonal block at a
-    time — the iteration order of Peleš & Klus's block-sparse evaluation.
-    States the partition does not know (defensive) sort last.
-    """
-    from .gen_fortran import _jacobian_entries
-
-    entries = _jacobian_entries(system)
-    if blocks:
-        fallback = 1 + max(blocks.values(), default=-1)
-        order = {
-            s: blocks.get(s, fallback) for s in system.state_names
-        }
-        state_names = system.state_names
-        entries.sort(key=lambda e: (order[state_names[e[0]]], e[0], e[1]))
-    return entries
 
 
 def generate_c_tasks(
@@ -369,9 +238,23 @@ def generate_c_tasks(
     """
     if plan is None:
         plan = partition_tasks(system)
+    return print_c_tasks(lower(system, plan, jacobian, cse_min_ops), blocks)
 
+
+def print_c_tasks(
+    low: Lowering, blocks: Mapping[str, int] | None = None
+) -> NativeSource:
+    """Format a :class:`~repro.codegen.lower.Lowering` as the executable
+    translation unit (see :func:`generate_c_tasks`).
+
+    ``blocks`` is the analysis partition's state-name → SCC-block
+    membership.  The Jacobian entries are grouped by their row state's
+    block (row-major within a block) so ``JAC`` walks one diagonal block
+    at a time — the iteration order of Peleš & Klus's block-sparse
+    evaluation.  States the partition does not know sort last.
+    """
+    system, plan = low.system, low.plan
     n = system.num_states
-    partial_index = {slot: i for i, slot in enumerate(plan.partial_slots)}
     num_partials = len(plan.partial_slots)
     num_tasks = len(plan.bodies)
 
@@ -393,66 +276,52 @@ def generate_c_tasks(
         "int NUM_TASKS(void);",
         f"void RHS({_ARGS});",
     ]
-    num_cse = 0
+    num_cse = low.num_cse_serial + low.num_cse_parallel
 
     # -- serial RHS (global CSE over the full system) ----------------------
-    names = NameTable(reserved=["t", "yin", "p", "yout"])
-    result = cse(list(system.rhs), symbol_prefix="cse", min_ops=cse_min_ops)
-    num_cse += result.num_extracted
     lines.append(f"void RHS({_ARGS})")
     lines.append("{")
-    targets = [
-        (f"der:{s}", e) for s, e in zip(system.state_names, result.exprs)
-    ]
-    lines.extend(
-        _emit_block(
-            targets, result.replacements, system, partial_index, names, "  "
-        )
+    lines += low.serial.lines(
+        NameTable(reserved=["t", "yin", "p", "yout"]), "c", _SLOTS, _ASSIGN,
+        "  yout[{}] = {};",
     )
     lines.append("}")
 
     # -- one exported entry point per (fused) task body --------------------
-    groups = [[a.expr for a in b.assignments] for b in plan.bodies]
-    results = cse_grouped(groups, symbol_prefix="cse", min_ops=cse_min_ops)
-    num_cse += sum(r.num_extracted for r in results)
-    for body, result in zip(plan.bodies, results):
+    for body, block in zip(plan.bodies, low.tasks):
         fn = f"task_{body.task_id}"
         cdef.append(f"void {fn}({_ARGS});")
         lines.append("")
         lines.append(f"/* {body.name} */")
         lines.append(f"void {fn}({_ARGS})")
         lines.append("{")
-        names = NameTable(reserved=["t", "yin", "p", "yout"])
-        targets = [
-            (a.target, e) for a, e in zip(body.assignments, result.exprs)
-        ]
-        lines.extend(
-            _emit_block(
-                targets, result.replacements, system, partial_index, names,
-                "  ",
-            )
+        lines += block.lines(
+            NameTable(reserved=["t", "yin", "p", "yout"]), "c", _SLOTS,
+            _ASSIGN, "  yout[{}] = {};",
         )
         lines.append("}")
 
     # -- sparse SCC-block Jacobian -----------------------------------------
     jac_rows: tuple[int, ...] = ()
     jac_cols: tuple[int, ...] = ()
-    if jacobian:
-        entries = _sparse_jacobian_entries(system, blocks)
-        jac_rows = tuple(i for i, _, _ in entries)
-        jac_cols = tuple(j for _, j, _ in entries)
-        nnz = len(entries)
+    if low.jac is not None:
+        jac = low.jac
+        num_cse += len(jac.temps)
+        block_of = None
+        stores = jac.stores
+        if blocks:
+            fallback = 1 + max(blocks.values(), default=-1)
+            block_of = [blocks.get(s, fallback) for s in system.state_names]
+            stores = sorted(stores, key=lambda st: (block_of[st[0][0]], st[0]))
+        jac_rows = tuple(i for (i, _), _ in stores)
+        jac_cols = tuple(j for (_, j), _ in stores)
+        nnz = len(stores)
         cdef.append("void JAC(double t, const double *yin, "
                     "const double *p, double *vals);")
         cdef.append("int JAC_NNZ(void);")
         cdef.append("void JAC_PATTERN(int *rows, int *cols);")
 
         names = NameTable(reserved=["t", "yin", "p", "vals"])
-        jac_cse = cse(
-            [e for _, _, e in entries], symbol_prefix="jcse",
-            min_ops=cse_min_ops,
-        )
-        num_cse += jac_cse.num_extracted
         lines.append("")
         lines.append(f"int JAC_NNZ(void) {{ return {nnz}; }}")
         lines.append("")
@@ -476,44 +345,11 @@ def generate_c_tasks(
             "double *vals)"
         )
         lines.append("{")
-        local = {sym.name for sym, _ in jac_cse.replacements}
-        used: set[str] = set()
-        for _sym, definition in jac_cse.replacements:
-            used.update(s.name for s in free_symbols(definition))
-        for expr in jac_cse.exprs:
-            used.update(s.name for s in free_symbols(expr))
-        used -= local
-        state_index = {s: i for i, s in enumerate(system.state_names)}
-        param_index = {s: i for i, s in enumerate(system.param_names)}
-        for name in sorted(used):
-            ident = names(name)
-            if name == system.free_var:
-                lines.append(f"  const double {ident} = t;")
-            elif name in state_index:
-                lines.append(
-                    f"  const double {ident} = yin[{state_index[name]}];"
-                )
-            elif name in param_index:
-                lines.append(
-                    f"  const double {ident} = p[{param_index[name]}];"
-                )
-            else:  # pragma: no cover
-                raise ValueError(f"cannot bind {name!r} in JAC codegen")
-        for sym, definition in jac_cse.replacements:
-            lines.append(
-                f"  const double {names(sym.name)} = "
-                f"{expr_code(definition, 'c', names)};"
-            )
-        if not used and not jac_cse.replacements and not entries:
+        lines += jac.lines(names, "c", _SLOTS, _ASSIGN)
+        if not (jac.loads or jac.temps or stores):
             lines.append("  (void)t; (void)yin; (void)p; (void)vals;")
-        block_of = None
-        if blocks:
-            fallback = 1 + max(blocks.values(), default=-1)
-            block_of = [
-                blocks.get(s, fallback) for s in system.state_names
-            ]
         last_block: int | None = None
-        for k, ((i, j, _), expr) in enumerate(zip(entries, jac_cse.exprs)):
+        for k, ((i, j), expr) in enumerate(stores):
             if block_of is not None and block_of[i] != last_block:
                 last_block = block_of[i]
                 lines.append(f"  /* SCC block {last_block} */")
@@ -531,20 +367,16 @@ def generate_c_tasks(
     lines.append("{")
     if not system.state_names:
         lines.append("  (void)y0;")
-    for i, (name, value) in enumerate(
-        zip(system.state_names, system.start_values)
-    ):
-        lines.append(f"  y0[{i}] = {float(value)!r};  /* {name} */")
+    for i, (name, value) in enumerate(zip(system.state_names, low.start_values)):
+        lines.append(f"  y0[{i}] = {value!r};  /* {name} */")
     lines.append("}")
     lines.append("")
     lines.append("void PARAMS(double *pout)")
     lines.append("{")
     if not system.param_names:
         lines.append("  (void)pout;")
-    for i, (name, value) in enumerate(
-        zip(system.param_names, system.param_values)
-    ):
-        lines.append(f"  pout[{i}] = {float(value)!r};  /* {name} */")
+    for i, (name, value) in enumerate(zip(system.param_names, low.param_values)):
+        lines.append(f"  pout[{i}] = {value!r};  /* {name} */")
     lines.append("}")
 
     return NativeSource(
@@ -555,7 +387,7 @@ def generate_c_tasks(
         num_partials=num_partials,
         num_tasks=num_tasks,
         num_params=len(system.param_names),
-        has_jacobian=bool(jacobian),
+        has_jacobian=low.jac is not None,
         jac_rows=jac_rows,
         jac_cols=jac_cols,
         num_lines=len(lines),

@@ -15,21 +15,21 @@ Two modes are generated:
   4 642 CSEs parallel vs 4 301 lines / 1 840 CSEs serial for the 2D
   bearing).
 
-The emitted source is valid-looking Fortran 90 meant for inspection and
-statistics, not compiled here (no Fortran toolchain in this environment);
-the executable path is :mod:`repro.codegen.gen_python`.
+Like every printer, this one is pure formatting over the shared
+:class:`~repro.codegen.lower.Lowering` (CSE blocks, Jacobian entries,
+symbol loads).  The emitted source is valid-looking Fortran 90 meant for
+inspection and statistics, not compiled here (no Fortran toolchain is
+assumed); the executable path is :mod:`repro.codegen.gen_python`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from ..schedule.lpt import Schedule
-from ..symbolic.cse import cse, cse_grouped
-from ..symbolic.expr import Expr, free_symbols
 from ..symbolic.printer import code as expr_code
 from .gen_python import NameTable
+from .lower import Block, lower
 from .tasks import TaskPlan, partition_tasks
 from .transform import OdeSystem
 
@@ -55,84 +55,43 @@ class FortranSource:
         )
 
 
-def _fortran_name(table: NameTable, name: str) -> str:
-    return table(name)
+#: where each load kind lives in the generated subroutines (1-based)
+_SLOTS = {"t": "t", "state": "yin({1})", "param": "p({1})", "partial": "yout({1})"}
+
+
+def _prologue(
+    block: Block, names: NameTable, decls: list[str], indent: str
+) -> list[str]:
+    """Loads and CSE temporaries of ``block``, declaring each local."""
+    lines = block.lines(names, "fortran", _SLOTS, indent + "{} = {}")
+    decls += [names(ld.name) for ld in block.loads]
+    decls += [names(sym.name) for sym, _ in block.temps]
+    return lines
 
 
 def _emit_case_body(
-    exprs_with_targets: Sequence[tuple[str, Expr]],
-    replacements: Sequence[tuple],
+    block: Block,
     system: OdeSystem,
-    partial_index: Mapping[str, int],
     names: NameTable,
     decls: list[str],
     indent: str,
 ) -> list[str]:
-    """Emit loads, CSE temporaries and stores for one case body."""
-    n = len(system.state_names)
-    state_index = {s: i for i, s in enumerate(system.state_names)}
-    param_index = {s: i for i, s in enumerate(system.param_names)}
-    local = {sym.name for sym, _ in replacements}
+    """Emit loads, CSE temporaries and stores for one RHS or task block.
 
-    used: set[str] = set()
-    for _, e in exprs_with_targets:
-        used.update(s.name for s in free_symbols(e))
-    for _, d in replacements:
-        used.update(s.name for s in free_symbols(d))
-    used -= local
-
-    lines: list[str] = []
-    for name in sorted(used):
-        ident = names(name)
-        if name == system.free_var:
-            lines.append(f"{indent}{ident} = t")
-        elif name in state_index:
-            lines.append(f"{indent}{ident} = yin({state_index[name] + 1})")
-        elif name in param_index:
-            lines.append(f"{indent}{ident} = p({param_index[name] + 1})")
-        elif name in partial_index:
-            lines.append(f"{indent}{ident} = yout({n + partial_index[name] + 1})")
-        else:
-            raise ValueError(f"cannot bind symbol {name!r} in Fortran codegen")
-        decls.append(ident)
-
-    for sym, definition in replacements:
-        ident = names(sym.name)
-        decls.append(ident)
-        lines.append(
-            f"{indent}{ident} = {expr_code(definition, 'fortran', names)}"
-        )
-
-    for target, expr in exprs_with_targets:
+    A derivative goes through its ``<state>dot`` variable (Figure 11's
+    ``xdot``/``ydot``); a partial-sum slot is stored directly.
+    """
+    lines = _prologue(block, names, decls, indent)
+    n = system.num_states
+    for slot, expr in block.stores:
         text = expr_code(expr, "fortran", names)
-        if not target.startswith("der:"):
-            slot = n + partial_index[target] + 1
-            lines.append(f"{indent}yout({slot}) = {text}")
-        else:
-            state = target.split(":", 1)[1]
-            dot = names(f"{state}dot")
+        if slot < n:
+            dot = names(f"{system.state_names[slot]}dot")
             decls.append(dot)
             lines.append(f"{indent}{dot} = {text}")
-            lines.append(f"{indent}yout({state_index[state] + 1}) = {dot}")
+            text = dot
+        lines.append(f"{indent}yout({slot + 1}) = {text}")
     return lines
-
-
-def _jacobian_entries(system: OdeSystem):
-    """Nonzero analytic Jacobian entries (i, j, expr)."""
-    from ..symbolic.diff import diff
-    from ..symbolic.expr import Sym
-    from ..symbolic.simplify import simplify
-
-    entries = []
-    for i, rhs in enumerate(system.rhs):
-        rhs_syms = {s.name for s in free_symbols(rhs)}
-        for j, state in enumerate(system.state_names):
-            if state not in rhs_syms:
-                continue
-            d = simplify(diff(rhs, Sym(state)))
-            if not d.is_zero:
-                entries.append((i, j, d))
-    return entries
 
 
 def generate_fortran(
@@ -156,11 +115,12 @@ def generate_fortran(
         raise ValueError(f"unknown mode {mode!r}")
     if plan is None:
         plan = partition_tasks(system)
+    low = lower(system, plan, jacobian, cse_min_ops)
 
     n = system.num_states
     n_out = n + len(plan.partial_slots)
-    partial_index = {slot: i for i, slot in enumerate(plan.partial_slots)}
     names = NameTable(reserved=["workerid", "yin", "yout", "p", "t", "dp"])
+    p_dim = max(len(system.param_names), 1)
 
     header = [
         f"! Generated by repro.codegen.gen_fortran for model {system.name}",
@@ -169,33 +129,20 @@ def generate_fortran(
     ]
     decls: list[str] = []
     body: list[str] = []
-    num_cse = 0
 
     if mode == "serial":
-        result = cse(list(system.rhs), symbol_prefix="cse", min_ops=cse_min_ops)
-        num_cse = result.num_extracted
-        targets = [
-            (f"der:{s}", e) for s, e in zip(system.state_names, result.exprs)
-        ]
-        body.extend(
-            _emit_case_body(
-                targets, result.replacements, system, partial_index, names,
-                decls, "  ",
-            )
-        )
+        num_cse = low.num_cse_serial
+        body += _emit_case_body(low.serial, system, names, decls, "  ")
         sig = "subroutine RHS(t, yin, p, yout)"
         dims = [
             "  integer, parameter :: dp = kind(1.0d0)",
             "  real(dp), intent(in) :: t",
             f"  real(dp), intent(in) :: yin({n})",
-            f"  real(dp), intent(in) :: p({max(len(system.param_names), 1)})",
+            f"  real(dp), intent(in) :: p({p_dim})",
             f"  real(dp), intent(out) :: yout({n})",
         ]
     else:
-        groups = [[a.expr for a in b.assignments] for b in plan.bodies]
-        results = cse_grouped(groups, symbol_prefix="cse", min_ops=cse_min_ops)
-        num_cse = sum(r.num_extracted for r in results)
-
+        num_cse = low.num_cse_parallel
         if schedule is not None:
             case_tasks: list[list[int]] = [
                 list(schedule.tasks_of(w)) for w in range(schedule.num_workers)
@@ -207,17 +154,8 @@ def generate_fortran(
         for case_no, task_ids in enumerate(case_tasks, start=1):
             body.append(f"  case ({case_no})")
             for tid in task_ids:
-                plan_body = plan.bodies[tid]
-                result = results[tid]
-                targets = [
-                    (a.target, e)
-                    for a, e in zip(plan_body.assignments, result.exprs)
-                ]
-                body.extend(
-                    _emit_case_body(
-                        targets, result.replacements, system, partial_index,
-                        names, decls, "    ",
-                    )
+                body += _emit_case_body(
+                    low.tasks[tid], system, names, decls, "    "
                 )
         body.append("  end select")
         sig = "subroutine RHS(workerid, t, yin, p, yout)"
@@ -226,19 +164,14 @@ def generate_fortran(
             "  integer, intent(in) :: workerid",
             "  real(dp), intent(in) :: t",
             f"  real(dp), intent(in) :: yin({n})",
-            f"  real(dp), intent(in) :: p({max(len(system.param_names), 1)})",
+            f"  real(dp), intent(in) :: p({p_dim})",
             f"  real(dp), intent(inout) :: yout({n_out})",
         ]
 
     # One declaration line per local, as the paper's generator did
     # ("10913 lines of Fortran 90 code, of which 4709 lines are variable
     # declarations", section 3.3).
-    seen: set[str] = set()
-    decl_lines = []
-    for ident in decls:
-        if ident not in seen:
-            seen.add(ident)
-            decl_lines.append(f"  real(dp) :: {ident}")
+    decl_lines = [f"  real(dp) :: {ident}" for ident in dict.fromkeys(decls)]
 
     lines = header + [sig] + dims + decl_lines + body + [
         "end subroutine RHS",
@@ -252,64 +185,26 @@ def generate_fortran(
     lines.append("  integer, parameter :: dp = kind(1.0d0)")
     lines.append(f"  real(dp), intent(out) :: y0({n})")
     for i, (name, value) in enumerate(
-        zip(system.state_names, system.start_values), start=1
+        zip(system.state_names, low.start_values), start=1
     ):
         lines.append(f"  y0({i}) = {value!r}_dp  ! {name}")
     lines.append("end subroutine START")
 
-    if jacobian:
+    if low.jac is not None:
         jac_names = NameTable(reserved=["t", "yin", "p", "dfdy", "dp"])
-        entries = _jacobian_entries(system)
-        jac_cse = cse(
-            [e for _, _, e in entries], symbol_prefix="jcse",
-            min_ops=cse_min_ops,
-        )
-        # Loads and CSE temporaries for the Jacobian body.
-        local = {sym.name for sym, _ in jac_cse.replacements}
-        used: set[str] = set()
-        for _sym, definition in jac_cse.replacements:
-            used.update(s.name for s in free_symbols(definition))
-        for expr in jac_cse.exprs:
-            used.update(s.name for s in free_symbols(expr))
-        used -= local
-        state_index = {s: i for i, s in enumerate(system.state_names)}
-        param_index = {s: i for i, s in enumerate(system.param_names)}
         jac_decls: list[str] = []
-        jac_body: list[str] = []
-        for name in sorted(used):
-            ident = jac_names(name)
-            jac_decls.append(ident)
-            if name == system.free_var:
-                jac_body.append(f"  {ident} = t")
-            elif name in state_index:
-                jac_body.append(f"  {ident} = yin({state_index[name] + 1})")
-            elif name in param_index:
-                jac_body.append(f"  {ident} = p({param_index[name] + 1})")
-            else:  # pragma: no cover - verifier prevents this
-                raise ValueError(f"cannot bind {name!r} in JAC codegen")
-        for sym, definition in jac_cse.replacements:
-            ident = jac_names(sym.name)
-            jac_decls.append(ident)
-            jac_body.append(
-                f"  {ident} = {expr_code(definition, 'fortran', jac_names)}"
-            )
+        jac_body = _prologue(low.jac, jac_names, jac_decls, "  ")
         lines.append("")
         lines.append("subroutine JAC(t, yin, p, dfdy)")
         lines.append("  integer, parameter :: dp = kind(1.0d0)")
         lines.append("  real(dp), intent(in) :: t")
         lines.append(f"  real(dp), intent(in) :: yin({n})")
-        lines.append(
-            f"  real(dp), intent(in) :: p({max(len(system.param_names), 1)})"
-        )
+        lines.append(f"  real(dp), intent(in) :: p({p_dim})")
         lines.append(f"  real(dp), intent(out) :: dfdy({n},{n})")
-        seen_jac: set[str] = set()
-        for ident in jac_decls:
-            if ident not in seen_jac:
-                seen_jac.add(ident)
-                lines.append(f"  real(dp) :: {ident}")
+        lines += [f"  real(dp) :: {ident}" for ident in dict.fromkeys(jac_decls)]
         lines.append("  dfdy = 0.0_dp")
-        lines.extend(jac_body)
-        for (i, j, _), expr in zip(entries, jac_cse.exprs):
+        lines += jac_body
+        for (i, j), expr in low.jac.stores:
             lines.append(
                 f"  dfdy({i + 1},{j + 1}) = "
                 f"{expr_code(expr, 'fortran', jac_names)}"

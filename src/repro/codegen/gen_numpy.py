@@ -23,6 +23,10 @@ The module contains the batched counterparts of the scalar entry points:
   structurally nonzero entries of ``jac`` of shape ``(batch, n, n)``,
 * ``START()`` / ``PARAMS()`` — identical to the scalar module.
 
+Like the scalar module, it is printed from the shared
+:class:`~repro.codegen.lower.Lowering` (:func:`print_numpy`), so both use
+the very same CSE temporaries and Jacobian entries.
+
 ``where`` evaluates both branches, so generated bodies run under
 ``errstate(all='ignore')``: lanes on the untaken side of a conditional may
 produce transient NaN/inf that the mask then discards — the selected
@@ -37,16 +41,15 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..symbolic.builders import FUNCTIONS
-from ..symbolic.cse import cse, cse_grouped
-from ..symbolic.diff import diff
+from ..symbolic.cse import cse
 from ..symbolic.expr import Expr, Sym, free_symbols
 from ..symbolic.printer import code as expr_code
-from ..symbolic.simplify import simplify
-from .gen_python import NameTable, _hoist_reduces
+from .gen_python import NameTable, _hoist_reduces, _module_trailer
+from .lower import Lowering, load_table, lower, resolve_loads
 from .tasks import Assignment, TaskPlan, partition_tasks, partition_tasks_array
 from .transform import ArraySystem, FamilyLayout, OdeSystem
 
-__all__ = ["NumpyModule", "generate_numpy", "load_numpy_module"]
+__all__ = ["NumpyModule", "generate_numpy", "load_numpy_module", "print_numpy"]
 
 
 @dataclass
@@ -111,42 +114,11 @@ _COL_HELPER = (
 )
 
 
-def _vector_binding_lines(
-    exprs: Sequence[Expr],
-    system: OdeSystem,
-    names: NameTable,
-    partial_index: Mapping[str, int],
-    indent: str,
-    local: frozenset[str] = frozenset(),
-) -> list[str]:
-    """Emit column bindings for every symbol the expressions reference.
-
-    States become ``Y[..., i]`` views, parameters ``p[..., j]`` (which
-    broadcasts for both shared and per-trajectory parameter stacks), and
-    partial-sum inputs ``res[..., n + k]``.
-    """
-    used: set[str] = set()
-    for e in exprs:
-        used.update(s.name for s in free_symbols(e))
-    used -= local
-    lines = []
-    state_index = {s: i for i, s in enumerate(system.state_names)}
-    param_index = {s: i for i, s in enumerate(system.param_names)}
-    n = len(system.state_names)
-    for name in sorted(used):
-        ident = names(name)
-        if name == system.free_var:
-            if ident != "t":
-                lines.append(f"{indent}{ident} = t")
-        elif name in state_index:
-            lines.append(f"{indent}{ident} = Y[..., {state_index[name]}]")
-        elif name in param_index:
-            lines.append(f"{indent}{ident} = p[..., {param_index[name]}]")
-        elif name in partial_index:
-            lines.append(f"{indent}{ident} = res[..., {n + partial_index[name]}]")
-        else:
-            raise ValueError(f"cannot bind symbol {name!r} in generated code")
-    return lines
+#: where each load kind lives in the generated batched functions
+_SLOTS_V = {
+    "t": "t", "state": "Y[..., {0}]", "param": "p[..., {0}]",
+    "partial": "res[..., {0}]",
+}
 
 
 def generate_numpy(
@@ -170,127 +142,50 @@ def generate_numpy(
         return _generate_numpy_array(system, plan, jacobian, cse_min_ops)
     if plan is None:
         plan = partition_tasks(system)
+    return print_numpy(lower(system, plan, jacobian, cse_min_ops))
 
-    names = NameTable(reserved=_RESERVED)
-    n = system.num_states
-    partial_index = {slot: i for i, slot in enumerate(plan.partial_slots)}
 
+def print_numpy(low: Lowering) -> NumpyModule:
+    """Format a :class:`~repro.codegen.lower.Lowering` as the batched
+    module and compile it."""
+    system, plan = low.system, low.plan
+    assign = "        {} = {}"
     lines: list[str] = [
         '"""Generated by repro.codegen.gen_numpy — do not edit."""',
         "",
+        "def RHS_V(t, Y, p, out):",
+        "    with errstate(all='ignore'):",
+        *low.serial.lines(
+            NameTable(reserved=_RESERVED), "numpy", _SLOTS_V, assign,
+            "        out[..., {}] = {}",
+        ),
+        "    return out",
+        "",
     ]
-
-    # -- batched serial RHS with global CSE -----------------------------------
-    serial = cse(list(system.rhs), symbol_prefix="g_cse", min_ops=cse_min_ops)
-    lines.append("def RHS_V(t, Y, p, out):")
-    lines.append("    with errstate(all='ignore'):")
-    body_exprs = [d for _, d in serial.replacements] + list(serial.exprs)
-    serial_locals = frozenset(s.name for s, _ in serial.replacements)
-    lines.extend(
-        _vector_binding_lines(
-            body_exprs, system, names, {}, "        ", serial_locals
-        )
-    )
-    for sym, definition in serial.replacements:
-        lines.append(
-            f"        {names(sym.name)} = "
-            f"{expr_code(definition, 'numpy', names)}"
-        )
-    for i, expr in enumerate(serial.exprs):
-        lines.append(f"        out[..., {i}] = {expr_code(expr, 'numpy', names)}")
-    lines.append("    return out")
-    lines.append("")
-
-    # -- batched per-task functions with per-task CSE --------------------------
-    groups = [[a.expr for a in body.assignments] for body in plan.bodies]
-    task_cses = cse_grouped(groups, symbol_prefix="l_cse", min_ops=cse_min_ops)
-    num_cse_parallel = sum(r.num_extracted for r in task_cses)
-
     task_names: list[str] = []
-    for body, result in zip(plan.bodies, task_cses):
-        fn = f"task_v_{body.task_id}"
-        task_names.append(fn)
-        task_table = NameTable(reserved=_RESERVED)
-        lines.append(f"def {fn}(t, Y, p, res):")
+    for body, block in zip(plan.bodies, low.tasks):
+        task_names.append(f"task_v_{body.task_id}")
+        lines.append(f"def {task_names[-1]}(t, Y, p, res):")
         lines.append("    with errstate(all='ignore'):")
-        body_exprs = [d for _, d in result.replacements] + list(result.exprs)
-        task_locals = frozenset(s.name for s, _ in result.replacements)
-        lines.extend(
-            _vector_binding_lines(
-                body_exprs, system, task_table, partial_index, "        ",
-                task_locals,
-            )
+        lines += block.lines(
+            NameTable(reserved=_RESERVED), "numpy", _SLOTS_V, assign,
+            "        res[..., {}] = {}",
         )
-        for sym, definition in result.replacements:
-            lines.append(
-                f"        {task_table(sym.name)} = "
-                f"{expr_code(definition, 'numpy', task_table)}"
-            )
-        state_index = {s: i for i, s in enumerate(system.state_names)}
-        for assignment, expr in zip(body.assignments, result.exprs):
-            text = expr_code(expr, "numpy", task_table)
-            if assignment.is_partial:
-                slot = n + partial_index[assignment.target]
-                lines.append(f"        res[..., {slot}] = {text}")
-            else:
-                lines.append(
-                    f"        res[..., {state_index[assignment.state]}] = {text}"
-                )
         lines.append("")
+    lines += [f"TASKS_V = [{', '.join(task_names)}]", ""]
 
-    lines.append(f"TASKS_V = [{', '.join(task_names)}]")
-    lines.append("")
-
-    # -- batched analytic Jacobian ---------------------------------------------
-    if jacobian:
-        jac_names = NameTable(reserved=_RESERVED)
-        entries: list[tuple[int, int, Expr]] = []
-        for i, rhs in enumerate(system.rhs):
-            rhs_syms = {s.name for s in free_symbols(rhs)}
-            for j, state in enumerate(system.state_names):
-                if state not in rhs_syms:
-                    continue
-                d = simplify(diff(rhs, Sym(state)))
-                if not d.is_zero:
-                    entries.append((i, j, d))
-        jac_cse = cse(
-            [e for _, _, e in entries], symbol_prefix="j_cse",
-            min_ops=cse_min_ops,
-        )
+    if low.jac is not None:
         lines.append("def JAC_V(t, Y, p, jac):")
         lines.append("    with errstate(all='ignore'):")
-        body_exprs = [d for _, d in jac_cse.replacements] + list(jac_cse.exprs)
-        jac_locals = frozenset(s.name for s, _ in jac_cse.replacements)
-        lines.extend(
-            _vector_binding_lines(
-                body_exprs, system, jac_names, {}, "        ", jac_locals
-            )
+        lines += low.jac.lines(
+            NameTable(reserved=_RESERVED), "numpy", _SLOTS_V, assign,
+            "        jac[..., {0[0]}, {0[1]}] = {1}",
         )
-        for sym, definition in jac_cse.replacements:
-            lines.append(
-                f"        {jac_names(sym.name)} = "
-                f"{expr_code(definition, 'numpy', jac_names)}"
-            )
-        for (i, j, _), expr in zip(entries, jac_cse.exprs):
-            lines.append(
-                f"        jac[..., {i}, {j}] = "
-                f"{expr_code(expr, 'numpy', jac_names)}"
-            )
-        lines.append("    return jac")
-        lines.append("")
+        lines += ["    return jac", ""]
 
-    # -- start values and parameters -------------------------------------------
-    lines.append("def START():")
-    lines.append(f"    return {list(system.start_values)!r}")
-    lines.append("")
-    lines.append("def PARAMS():")
-    lines.append(f"    return {list(system.param_values)!r}")
-    lines.append("")
-    lines.append(f"STATE_NAMES = {list(system.state_names)!r}")
-    lines.append(f"PARAM_NAMES = {list(system.param_names)!r}")
-    lines.append(f"NUM_PARTIALS = {len(plan.partial_slots)}")
-    lines.append("")
-
+    lines += _module_trailer(
+        system, low.start_values, low.param_values, len(plan.partial_slots)
+    )
     source = "\n".join(lines)
     namespace = _ufunc_names()
     exec(compile(source, f"<generated-numpy {system.name}>", "exec"), namespace)
@@ -298,10 +193,10 @@ def generate_numpy(
     return NumpyModule(
         source=source,
         namespace=namespace,
-        num_states=n,
+        num_states=system.num_states,
         num_partials=len(plan.partial_slots),
-        num_cse_serial=serial.num_extracted,
-        num_cse_parallel=num_cse_parallel,
+        num_cse_serial=low.num_cse_serial,
+        num_cse_parallel=low.num_cse_parallel,
     )
 
 
@@ -574,14 +469,18 @@ def _generate_numpy_array(
     )
     num_cse_serial += red_cse
 
+    table = load_table(system)
     lines.append("def RHS_V(t, Y, p, out):")
     lines.append("    with errstate(all='ignore'):")
-    body_exprs = [d for _, d in serial.replacements] + list(serial.exprs)
-    lines.extend(
-        _vector_binding_lines(
-            body_exprs, system, names, {}, "        ", serial_locals
-        )
-    )
+    used = {
+        s.name
+        for e in [d for _, d in serial.replacements] + list(serial.exprs)
+        for s in free_symbols(e)
+    }
+    lines += [
+        f"        {names(ld.name)} = {ld.source(_SLOTS_V)}"
+        for ld in resolve_loads(used - serial_locals, table)
+    ]
     lines.extend(red_lines)
     for sym, definition in serial.replacements:
         lines.append(
@@ -649,14 +548,16 @@ def _generate_numpy_array(
 
         lines.append(f"def {fn}(t, Y, p, res):")
         lines.append("    with errstate(all='ignore'):")
-        body_exprs = [d for _, d in scalar_cse.replacements] + list(
-            scalar_cse.exprs
-        )
-        lines.extend(
-            _vector_binding_lines(
-                body_exprs, system, tnames, {}, "        ", scalar_locals
-            )
-        )
+        used = {
+            s.name
+            for e in [d for _, d in scalar_cse.replacements]
+            + list(scalar_cse.exprs)
+            for s in free_symbols(e)
+        }
+        lines += [
+            f"        {tnames(ld.name)} = {ld.source(_SLOTS_V)}"
+            for ld in resolve_loads(used - scalar_locals, table)
+        ]
         lines.extend(t_red_lines)
         for sym, definition in scalar_cse.replacements:
             lines.append(
@@ -691,17 +592,12 @@ def _generate_numpy_array(
     lines.append(f"TASKS_V = [{', '.join(task_names)}]")
     lines.append("")
 
-    # -- start values and parameters -------------------------------------------
-    lines.append("def START():")
-    lines.append(f"    return {list(system.start_values)!r}")
-    lines.append("")
-    lines.append("def PARAMS():")
-    lines.append(f"    return {list(system.param_values)!r}")
-    lines.append("")
-    lines.append(f"STATE_NAMES = {list(system.state_names)!r}")
-    lines.append(f"PARAM_NAMES = {list(system.param_names)!r}")
-    lines.append("NUM_PARTIALS = 0")
-    lines.append("")
+    lines += _module_trailer(
+        system,
+        [float(v) for v in system.start_values],
+        [float(v) for v in system.param_values],
+        0,
+    )
 
     source = "\n".join(lines)
     namespace = _ufunc_names()

@@ -14,6 +14,10 @@ result.  The module contains:
 * ``JAC(t, y, p, jac)`` — optional analytic Jacobian (section 3.2.1),
 * ``START()`` / ``PARAMS()`` — generated start-value and parameter vectors
   (the paper generates these so users keep the model's variable names).
+
+The scalar module is pure formatting over the shared
+:class:`~repro.codegen.lower.Lowering` (:func:`print_python`); only the
+array-mode member loops (:func:`_generate_python_array`) run their own CSE.
 """
 
 from __future__ import annotations
@@ -23,16 +27,18 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from ..symbolic.cse import cse, cse_grouped
-from ..symbolic.diff import diff
+from ..symbolic.cse import cse
 from ..symbolic.expr import Expr, Reduce, Sym, free_symbols, preorder
 from ..symbolic.printer import code as expr_code
-from ..symbolic.simplify import simplify
 from ..symbolic.subs import substitute
+from .lower import Lowering, load_table, lower, resolve_loads
 from .tasks import Assignment, TaskPlan, partition_tasks, partition_tasks_array
 from .transform import ArraySystem, FamilyLayout, OdeSystem
 
-__all__ = ["NameTable", "PythonModule", "generate_python", "load_python_module"]
+__all__ = [
+    "NameTable", "PythonModule", "generate_python", "load_python_module",
+    "print_python",
+]
 
 
 class NameTable:
@@ -122,49 +128,29 @@ def _base_namespace() -> dict:
     return ns
 
 
-def _bind_names(
-    used: Sequence[str],
-    system: OdeSystem | ArraySystem,
-    names: NameTable,
-    partial_index: Mapping[str, int],
-    indent: str,
-) -> list[str]:
-    """Emit local bindings for the given (sorted) symbol names."""
-    lines = []
-    state_index = {s: i for i, s in enumerate(system.state_names)}
-    param_index = {s: i for i, s in enumerate(system.param_names)}
-    n = len(system.state_names)
-    for name in used:
-        ident = names(name)
-        if name == system.free_var:
-            if ident != "t":
-                lines.append(f"{indent}{ident} = t")
-        elif name in state_index:
-            lines.append(f"{indent}{ident} = y[{state_index[name]}]")
-        elif name in param_index:
-            lines.append(f"{indent}{ident} = p[{param_index[name]}]")
-        elif name in partial_index:
-            lines.append(f"{indent}{ident} = res[{n + partial_index[name]}]")
-        else:
-            raise ValueError(f"cannot bind symbol {name!r} in generated code")
-    return lines
+#: where each load kind lives in the generated scalar functions
+_SLOTS = {"t": "t", "state": "y[{0}]", "param": "p[{0}]", "partial": "res[{0}]"}
 
 
-def _binding_lines(
-    exprs: Sequence[Expr],
+def _module_trailer(
     system: OdeSystem | ArraySystem,
-    names: NameTable,
-    partial_index: Mapping[str, int],
-    indent: str,
-    local: frozenset[str] = frozenset(),
+    start_values: Sequence[float],
+    param_values: Sequence[float],
+    num_partials: int,
 ) -> list[str]:
-    """Emit local bindings for every symbol the expressions reference,
-    skipping ``local`` names (CSE temporaries defined in the body)."""
-    used: set[str] = set()
-    for e in exprs:
-        used.update(s.name for s in free_symbols(e))
-    used -= local
-    return _bind_names(sorted(used), system, names, partial_index, indent)
+    """``START``/``PARAMS`` and the layout constants (Python and NumPy)."""
+    return [
+        "def START():",
+        f"    return {list(start_values)!r}",
+        "",
+        "def PARAMS():",
+        f"    return {list(param_values)!r}",
+        "",
+        f"STATE_NAMES = {list(system.state_names)!r}",
+        f"PARAM_NAMES = {list(system.param_names)!r}",
+        f"NUM_PARTIALS = {num_partials}",
+        "",
+    ]
 
 
 def generate_python(
@@ -188,118 +174,46 @@ def generate_python(
         return _generate_python_array(system, plan, jacobian, cse_min_ops)
     if plan is None:
         plan = partition_tasks(system)
+    return print_python(lower(system, plan, jacobian, cse_min_ops))
 
-    names = NameTable()
-    n = system.num_states
-    partial_index = {slot: i for i, slot in enumerate(plan.partial_slots)}
 
+def print_python(low: Lowering) -> PythonModule:
+    """Format a :class:`~repro.codegen.lower.Lowering` as the scalar
+    module and compile it."""
+    system, plan = low.system, low.plan
     lines: list[str] = [
         '"""Generated by repro.codegen.gen_python — do not edit."""',
         "",
+        "def RHS(t, y, p, out):",
+        *low.serial.lines(
+            NameTable(), "python", _SLOTS, "    {} = {}", "    out[{}] = {}"
+        ),
+        "    return out",
+        "",
     ]
-
-    # -- serial RHS with global CSE -------------------------------------------
-    serial = cse(list(system.rhs), symbol_prefix="g_cse", min_ops=cse_min_ops)
-    lines.append("def RHS(t, y, p, out):")
-    body_exprs = [d for _, d in serial.replacements] + list(serial.exprs)
-    serial_locals = frozenset(s.name for s, _ in serial.replacements)
-    lines.extend(
-        _binding_lines(body_exprs, system, names, {}, "    ", serial_locals)
-    )
-    for sym, definition in serial.replacements:
-        lines.append(
-            f"    {names(sym.name)} = "
-            f"{expr_code(definition, 'python', names)}"
-        )
-    for i, expr in enumerate(serial.exprs):
-        lines.append(f"    out[{i}] = {expr_code(expr, 'python', names)}")
-    lines.append("    return out")
-    lines.append("")
-
-    # -- per-task functions with per-task CSE ----------------------------------
-    groups = [[a.expr for a in body.assignments] for body in plan.bodies]
-    task_cses = cse_grouped(groups, symbol_prefix="l_cse", min_ops=cse_min_ops)
-    num_cse_parallel = sum(r.num_extracted for r in task_cses)
-
     task_names: list[str] = []
-    for body, result in zip(plan.bodies, task_cses):
-        fn = f"task_{body.task_id}"
-        task_names.append(fn)
-        task_names_table = NameTable()
-        lines.append(f"def {fn}(t, y, p, res):")
-        body_exprs = [d for _, d in result.replacements] + list(result.exprs)
-        task_locals = frozenset(s.name for s, _ in result.replacements)
-        lines.extend(
-            _binding_lines(
-                body_exprs, system, task_names_table, partial_index, "    ",
-                task_locals,
-            )
+    for body, block in zip(plan.bodies, low.tasks):
+        task_names.append(f"task_{body.task_id}")
+        lines.append(f"def {task_names[-1]}(t, y, p, res):")
+        lines += block.lines(
+            NameTable(), "python", _SLOTS, "    {} = {}", "    res[{}] = {}"
         )
-        for sym, definition in result.replacements:
-            lines.append(
-                f"    {task_names_table(sym.name)} = "
-                f"{expr_code(definition, 'python', task_names_table)}"
-            )
-        state_index = {s: i for i, s in enumerate(system.state_names)}
-        for assignment, expr in zip(body.assignments, result.exprs):
-            text = expr_code(expr, "python", task_names_table)
-            if assignment.is_partial:
-                slot = n + partial_index[assignment.target]
-                lines.append(f"    res[{slot}] = {text}")
-            else:
-                lines.append(f"    res[{state_index[assignment.state]}] = {text}")
         lines.append("")
+    lines += [f"TASKS = [{', '.join(task_names)}]", ""]
 
-    lines.append(f"TASKS = [{', '.join(task_names)}]")
-    lines.append("")
-
-    # -- analytic Jacobian ------------------------------------------------------
-    if jacobian:
-        jac_names = NameTable()
-        entries: list[tuple[int, int, Expr]] = []
-        for i, rhs in enumerate(system.rhs):
-            rhs_syms = {s.name for s in free_symbols(rhs)}
-            for j, state in enumerate(system.state_names):
-                if state not in rhs_syms:
-                    continue
-                d = simplify(diff(rhs, Sym(state)))
-                if not d.is_zero:
-                    entries.append((i, j, d))
-        jac_cse = cse(
-            [e for _, _, e in entries], symbol_prefix="j_cse", min_ops=cse_min_ops
-        )
-        lines.append("def JAC(t, y, p, jac):")
-        body_exprs = [d for _, d in jac_cse.replacements] + list(jac_cse.exprs)
-        jac_locals = frozenset(s.name for s, _ in jac_cse.replacements)
-        lines.extend(
-            _binding_lines(body_exprs, system, jac_names, {}, "    ", jac_locals)
-        )
-        for sym, definition in jac_cse.replacements:
-            lines.append(
-                f"    {jac_names(sym.name)} = "
-                f"{expr_code(definition, 'python', jac_names)}"
-            )
+    if low.jac is not None:
         # 2-D ndarray indexing: one tuple index per entry instead of the
         # chained jac[i][j], which materialises a row view per assignment.
-        for (i, j, _), expr in zip(entries, jac_cse.exprs):
-            lines.append(
-                f"    jac[{i}, {j}] = {expr_code(expr, 'python', jac_names)}"
-            )
-        lines.append("    return jac")
-        lines.append("")
+        lines.append("def JAC(t, y, p, jac):")
+        lines += low.jac.lines(
+            NameTable(), "python", _SLOTS, "    {} = {}",
+            "    jac[{0[0]}, {0[1]}] = {1}",
+        )
+        lines += ["    return jac", ""]
 
-    # -- start values and parameters --------------------------------------------
-    lines.append("def START():")
-    lines.append(f"    return {list(system.start_values)!r}")
-    lines.append("")
-    lines.append("def PARAMS():")
-    lines.append(f"    return {list(system.param_values)!r}")
-    lines.append("")
-    lines.append(f"STATE_NAMES = {list(system.state_names)!r}")
-    lines.append(f"PARAM_NAMES = {list(system.param_names)!r}")
-    lines.append(f"NUM_PARTIALS = {len(plan.partial_slots)}")
-    lines.append("")
-
+    lines += _module_trailer(
+        system, low.start_values, low.param_values, len(plan.partial_slots)
+    )
     source = "\n".join(lines)
     namespace = _base_namespace()
     exec(compile(source, f"<generated {system.name}>", "exec"), namespace)
@@ -307,10 +221,10 @@ def generate_python(
     return PythonModule(
         source=source,
         namespace=namespace,
-        num_states=n,
+        num_states=system.num_states,
         num_partials=len(plan.partial_slots),
-        num_cse_serial=serial.num_extracted,
-        num_cse_parallel=num_cse_parallel,
+        num_cse_serial=low.num_cse_serial,
+        num_cse_parallel=low.num_cse_parallel,
     )
 
 
@@ -591,8 +505,12 @@ def _generate_python_array(
     outer_needed |= red_outer
     outer_needed -= serial_locals
 
+    table = load_table(system)
     lines.append("def RHS(t, y, p, out):")
-    lines.extend(_bind_names(sorted(outer_needed), system, names, {}, "    "))
+    lines += [
+        f"    {names(ld.name)} = {ld.source(_SLOTS)}"
+        for ld in resolve_loads(outer_needed, table)
+    ]
     lines.extend(red_lines)
     for sym, definition in serial.replacements:
         lines.append(
@@ -667,7 +585,10 @@ def _generate_python_array(
         needed -= scalar_locals
 
         lines.append(f"def {fn}(t, y, p, res):")
-        lines.extend(_bind_names(sorted(needed), system, tnames, {}, "    "))
+        lines += [
+            f"    {tnames(ld.name)} = {ld.source(_SLOTS)}"
+            for ld in resolve_loads(needed, table)
+        ]
         lines.extend(t_red_lines)
         for sym, definition in scalar_cse.replacements:
             lines.append(
@@ -686,17 +607,12 @@ def _generate_python_array(
     lines.append(f"TASKS = [{', '.join(task_names)}]")
     lines.append("")
 
-    # -- start values and parameters --------------------------------------------
-    lines.append("def START():")
-    lines.append(f"    return {list(system.start_values)!r}")
-    lines.append("")
-    lines.append("def PARAMS():")
-    lines.append(f"    return {list(system.param_values)!r}")
-    lines.append("")
-    lines.append(f"STATE_NAMES = {list(system.state_names)!r}")
-    lines.append(f"PARAM_NAMES = {list(system.param_names)!r}")
-    lines.append("NUM_PARTIALS = 0")
-    lines.append("")
+    lines += _module_trailer(
+        system,
+        [float(v) for v in system.start_values],
+        [float(v) for v in system.param_values],
+        0,
+    )
 
     source = "\n".join(lines)
     namespace = _base_namespace()

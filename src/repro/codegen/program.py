@@ -27,15 +27,16 @@ fault-tolerance layer behave identically whichever backend is selected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
 from ..schedule.task import TaskGraph
 from .costmodel import CostModel, DEFAULT_COST_MODEL
-from .gen_c import NativeSource
-from .gen_numpy import NumpyModule, generate_numpy
-from .gen_python import PythonModule, generate_python
+from .gen_c import NativeSource, print_c_tasks
+from .gen_numpy import NumpyModule, generate_numpy, print_numpy
+from .gen_python import PythonModule, generate_python, print_python
+from .lower import lower
 from .tasks import TaskPlan, partition_tasks, partition_tasks_array
 from .transform import ArraySystem, OdeSystem
 from .verify import VerifyReport, verify_compilable
@@ -43,7 +44,10 @@ from .verify import VerifyReport, verify_compilable
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .native import NativeModule
 
-__all__ = ["GeneratedProgram", "ProgramSpec", "generate_program", "BACKENDS"]
+__all__ = [
+    "GeneratedProgram", "ProgramSpec", "emit_sources", "generate_program",
+    "BACKENDS",
+]
 
 BACKENDS = ("python", "numpy", "c")
 
@@ -433,6 +437,39 @@ class GeneratedProgram:
         )
 
 
+def emit_sources(
+    system: OdeSystem | ArraySystem,
+    plan: TaskPlan,
+    backend: str = "python",
+    jacobian: bool = False,
+    cse_min_ops: int = 1,
+    blocks: Mapping[str, int] | None = None,
+) -> tuple[PythonModule, NumpyModule | None, NativeSource | None]:
+    """The emit step of code generation: lower once, print per backend.
+
+    The scalar Python module is always printed; ``backend="numpy"`` adds
+    the batched module and ``backend="c"`` the native translation unit
+    (its Jacobian ordered by the SCC ``blocks``).  A scalar system is
+    lowered once (:func:`~repro.codegen.lower.lower`) and every printer
+    formats that one :class:`~repro.codegen.lower.Lowering`.  An
+    :class:`ArraySystem` (never compiled for ``backend="c"``: the
+    compiler scalarizes first) takes the array-mode emitters instead.
+    """
+    if isinstance(system, ArraySystem):
+        module = generate_python(system, plan, jacobian, cse_min_ops)
+        vector = (
+            generate_numpy(system, plan, jacobian, cse_min_ops)
+            if backend == "numpy" else None
+        )
+        return module, vector, None
+    low = lower(system, plan, jacobian, cse_min_ops)
+    return (
+        print_python(low),
+        print_numpy(low) if backend == "numpy" else None,
+        print_c_tasks(low, blocks) if backend == "c" else None,
+    )
+
+
 def generate_program(
     system: OdeSystem,
     cost_model: CostModel = DEFAULT_COST_MODEL,
@@ -499,24 +536,15 @@ def generate_program(
             plan, cost_model=cost_model, threshold=fuse_threshold,
             blocks=blocks,
         )
-    module = generate_python(
-        system, plan=plan, jacobian=jacobian, cse_min_ops=cse_min_ops
+    module, vector_module, native_source = emit_sources(
+        system, plan, backend, jacobian=jacobian, cse_min_ops=cse_min_ops,
+        blocks=blocks,
     )
-    vector_module = None
-    if backend == "numpy":
-        vector_module = generate_numpy(
-            system, plan=plan, jacobian=jacobian, cse_min_ops=cse_min_ops
-        )
     native_module = None
     native_fallback = None
-    if backend == "c":
-        from .gen_c import generate_c_tasks
+    if native_source is not None:
         from .native import NativeUnavailable, build_native_module
 
-        native_source = generate_c_tasks(
-            system, plan=plan, jacobian=jacobian, cse_min_ops=cse_min_ops,
-            blocks=blocks,
-        )
         try:
             native_module, _ = build_native_module(native_source)
         except NativeUnavailable as exc:

@@ -41,9 +41,7 @@ the :mod:`repro.frontend` facade and the ``repro compile`` CLI verb call.
 from __future__ import annotations
 
 from ..analysis import ArrayPartition, partition as run_partition
-from ..codegen.gen_numpy import generate_numpy
-from ..codegen.gen_python import generate_python
-from ..codegen.program import GeneratedProgram
+from ..codegen.program import GeneratedProgram, emit_sources
 from ..codegen.tasks import partition_tasks, partition_tasks_array
 from ..codegen.transform import ArraySystem, make_array_system, make_ode_system
 from ..codegen.verify import verify_compilable
@@ -223,23 +221,11 @@ def _run_fuse_tasks(ctx: CompilationContext) -> None:
     from ..codegen.fuse import fuse_plan
 
     opts = ctx.options
-    blocks = None
-    if ctx.partition is not None:
-        part = ctx.partition
-        if isinstance(part, ArrayPartition) and not isinstance(
-            ctx.system, ArraySystem
-        ):
-            # Array analysis but scalar plan (scalarize ran after
-            # partition was cached, or the caller mixed artifacts):
-            # expand set vertices to scalar names so block keys match.
-            blocks = part.expanded_membership()
-        else:
-            blocks = part.membership
     ctx.plan, stats = fuse_plan(
         ctx.plan,
         cost_model=opts.cost_model,
         threshold=opts.fuse_threshold,
-        blocks=blocks,
+        blocks=_scc_blocks(ctx),
     )
     ctx.metrics["num_tasks"] = ctx.plan.num_tasks
     ctx.metrics["fuse_tasks_before"] = stats.tasks_before
@@ -257,7 +243,12 @@ def _skip_fuse(ctx: CompilationContext) -> str | None:
 
 
 def _scc_blocks(ctx: CompilationContext) -> dict[str, int] | None:
-    """State-name → SCC-block membership for the current plan's names."""
+    """State-name → SCC-block membership for the current plan's names.
+
+    An array analysis over a scalar plan (scalarize ran after the
+    partition was cached, or the caller mixed artifacts) expands its set
+    vertices to scalar names so the block keys match.
+    """
     if ctx.partition is None:
         return None
     part = ctx.partition
@@ -270,29 +261,14 @@ def _scc_blocks(ctx: CompilationContext) -> dict[str, int] | None:
 
 def _run_codegen(ctx: CompilationContext) -> None:
     opts = ctx.options
-    ctx.module = generate_python(
+    ctx.module, ctx.vector_module, ctx.native_source = emit_sources(
         ctx.system,
-        plan=ctx.plan,
+        ctx.plan,
+        opts.backend,
         jacobian=opts.jacobian,
         cse_min_ops=opts.cse_min_ops,
+        blocks=_scc_blocks(ctx),
     )
-    if opts.backend == "numpy":
-        ctx.vector_module = generate_numpy(
-            ctx.system,
-            plan=ctx.plan,
-            jacobian=opts.jacobian,
-            cse_min_ops=opts.cse_min_ops,
-        )
-    if opts.backend == "c":
-        from ..codegen.gen_c import generate_c_tasks
-
-        ctx.native_source = generate_c_tasks(
-            ctx.system,
-            plan=ctx.plan,
-            jacobian=opts.jacobian,
-            cse_min_ops=opts.cse_min_ops,
-            blocks=_scc_blocks(ctx),
-        )
 
 
 def _run_link_native(ctx: CompilationContext) -> None:

@@ -30,9 +30,10 @@ Nodes are additionally *hash-consed*: every constructor first consults a
 module-level intern table, so structurally equal expressions built anywhere
 in a process are the same object.  Equality then short-circuits to an
 identity check, dictionary operations in CSE/diff/simplify hit cached
-hashes, and :func:`free_symbols` can memoise its result per node — together
-these dominate compile time on bearing-scale models.  The table only
-affects sharing, never semantics; :func:`intern_cache_clear` drops it.
+hashes, and :func:`free_symbols` and :func:`count_nodes` can memoise their
+results per node — together these dominate compile time on bearing-scale
+models.  The table only affects sharing, never semantics;
+:func:`intern_cache_clear` drops it.
 """
 
 from __future__ import annotations
@@ -109,6 +110,7 @@ def _fresh(cls) -> "Expr":
     obj._hash = None
     obj._skey = None
     obj._free = None
+    obj._size = None
     return obj
 
 
@@ -122,11 +124,11 @@ class Expr:
 
     Construction happens in each subclass's ``__new__`` (which consults the
     intern table); ``__init__`` is a deliberate no-op so that a cache hit
-    does not wipe the cached ``_hash``/``_skey``/``_free`` of the returned
-    canonical instance.
+    does not wipe the cached ``_hash``/``_skey``/``_free``/``_size`` of the
+    returned canonical instance.
     """
 
-    __slots__ = ("_hash", "_skey", "_free")
+    __slots__ = ("_hash", "_skey", "_free", "_size")
 
     #: class-level rank used for cross-type deterministic ordering
     _rank = 0
@@ -957,5 +959,23 @@ def free_symbols(expr: Expr) -> frozenset[Sym]:
 
 
 def count_nodes(expr: Expr) -> int:
-    """Total number of AST nodes in ``expr`` (shared subtrees counted anew)."""
-    return sum(1 for _ in preorder(expr))
+    """Total number of AST nodes in ``expr`` (shared subtrees counted anew).
+
+    Equal to ``len(list(preorder(expr)))``, but memoised per node like
+    :func:`free_symbols`: a shared subtree is sized once per process.
+    """
+    if expr._size is not None:
+        return expr._size
+    stack: list[tuple[Expr, bool]] = [(expr, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if node._size is not None:
+            continue
+        if expanded:
+            node._size = 1 + sum(c._size for c in node.args)
+        else:
+            stack.append((node, True))
+            for child in node.args:
+                if child._size is None:
+                    stack.append((child, False))
+    return expr._size

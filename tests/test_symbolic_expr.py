@@ -258,6 +258,20 @@ class TestTraversal:
         assert nodes[0] is e
         assert len(nodes) == count_nodes(e)
 
+    def test_count_nodes_repeated_and_shared(self):
+        shared = mul(add(x, y), Call("sin", (z,)))
+        e = ITE(Rel("<", shared, z), shared, Call("cos", (shared,)))
+        want = len(list(preorder(e)))
+        assert count_nodes(e) == want
+        assert count_nodes(e) == want  # memoised: same answer again
+        # a subtree already sized as part of ``e`` keeps its own count,
+        # and a new tree reusing it still counts the subtree each time
+        assert count_nodes(shared) == len(list(preorder(shared)))
+        wrapper = add(shared, Call("exp", (e,)))
+        assert count_nodes(wrapper) == len(list(preorder(wrapper)))
+        leaf = Sym("fresh_leaf")
+        assert count_nodes(leaf) == 1 == len(list(preorder(leaf)))
+
     def test_postorder_children_first(self):
         e = add(x, mul(y, z))
         nodes = list(postorder(e))
